@@ -1,13 +1,14 @@
 //! Micro-benchmark — parallel execution, across components and within one.
 //!
-//! Two parallelism axes are measured against the same serial baseline:
+//! Two parallelism axes of the one `PartitionedExecutor` are measured
+//! against the same serial baseline:
 //!
-//! * **`ParallelExecutor`** (inter-component): ETS backtracking never
+//! * **workers** (inter-component): ETS backtracking never
 //!   crosses a connected-component boundary, so a plan with N independent
 //!   components is embarrassingly parallel — one single-threaded
 //!   depth-first executor per component. The harness replicates the
 //!   paper's filter→union shape into 1→N identical components.
-//! * **`ShardedExecutor`** (intra-component): a *single* component is
+//! * **shards** (intra-component): a *single* component is
 //!   key-partitioned across N shard workers behind exchange edges, with
 //!   per-worker frontier summaries replacing the per-source ETS/TSM
 //!   registers and a timestamp merge re-establishing one ordered output.
@@ -32,7 +33,6 @@ use std::time::Instant;
 
 use millstream_bench::{print_table, quick_mode, write_bench_summary, write_results};
 use millstream_core::prelude::*;
-use millstream_exec::{ParallelConfig, ParallelExecutor, ShardedConfig, ShardedExecutor};
 use millstream_metrics::Json;
 
 /// Counts deliveries without storing tuples (keeps the sink cost flat).
@@ -174,13 +174,35 @@ fn run_serial(n: usize) -> RunResult {
     }
 }
 
-fn run_parallel(n: usize, workers: usize) -> RunResult {
-    let (graph, sources, out) = build(n);
-    let pex = ParallelExecutor::new(
-        graph,
-        ParallelConfig::new(CostModel::default(), EtsPolicy::None, workers),
-    );
-    assert_eq!(pex.num_components(), n, "each copy must be one component");
+/// `n` components on the partitioned engine. With `partitioning.shards >
+/// 1` (and `n == 1`), the one component is key-partitioned across the
+/// shards behind exchange edges instead.
+fn run_partitioned(n: usize, partitioning: Partitioning) -> RunResult {
+    let config = PartitionedConfig::new(CostModel::default(), EtsPolicy::None, partitioning);
+    let (mut pex, sources, out) = if partitioning.shards > 1 {
+        let out = Count::default();
+        let mut pair = None;
+        let pex = PartitionedExecutor::sharded(
+            |replica, shard_out| {
+                let mut b = GraphBuilder::new();
+                let ids = append_copy(&mut b, 0, shard_out);
+                if replica == 0 {
+                    pair = Some(ids);
+                }
+                b.build()
+            },
+            schema(),
+            Box::new(out.clone()),
+            config,
+        )
+        .unwrap();
+        (pex, vec![pair.expect("replica 0 built")], out)
+    } else {
+        let (graph, sources, out) = build(n);
+        let pex = PartitionedExecutor::new(graph, config);
+        assert_eq!(pex.num_components(), n, "each copy must be one component");
+        (pex, sources, out)
+    };
     let pass = Tuple::data(Timestamp::ZERO, vec![Value::Int(1)]);
     let fail = Tuple::data(Timestamp::ZERO, vec![Value::Int(-1)]);
     let mut ingested = 0u64;
@@ -212,52 +234,14 @@ fn run_parallel(n: usize, workers: usize) -> RunResult {
     }
 }
 
+/// `n` components, one worker each.
+fn run_parallel(n: usize) -> RunResult {
+    run_partitioned(n, Partitioning::workers(n))
+}
+
 /// One component, key-partitioned across `shards` exchange-edge workers.
 fn run_sharded(shards: usize) -> RunResult {
-    let out = Count::default();
-    let mut pair = None;
-    let mut sx = ShardedExecutor::new(
-        |replica, shard_out| {
-            let mut b = GraphBuilder::new();
-            let ids = append_copy(&mut b, 0, shard_out);
-            if replica == 0 {
-                pair = Some(ids);
-            }
-            b.build()
-        },
-        schema(),
-        Box::new(out.clone()),
-        ShardedConfig::new(CostModel::default(), EtsPolicy::None, shards),
-    )
-    .unwrap();
-    let (s1, s2) = pair.expect("replica 0 built");
-    let pass = Tuple::data(Timestamp::ZERO, vec![Value::Int(1)]);
-    let fail = Tuple::data(Timestamp::ZERO, vec![Value::Int(-1)]);
-    let mut ingested = 0u64;
-    let started = Instant::now();
-    for w in 0..waves() {
-        for i in 0..WAVE_TUPLES {
-            let t = tuple_at(w * WAVE_TUPLES + i, &pass, &fail);
-            sx.ingest(s1, t.clone()).unwrap();
-            sx.ingest(s2, t).unwrap();
-            ingested += 2;
-        }
-        sx.run_until_quiescent(100_000_000).unwrap();
-    }
-    let secs = started.elapsed().as_secs_f64();
-    let busy_secs = sx
-        .snapshot()
-        .unwrap()
-        .busy_nanos
-        .iter()
-        .map(|&n| n as f64 / 1e9)
-        .collect();
-    RunResult {
-        tuples: ingested,
-        delivered: out.0.load(Ordering::Relaxed),
-        secs,
-        busy_secs,
-    }
+    run_partitioned(1, Partitioning::sharded(shards))
 }
 
 /// Keeps the better (faster) of two samples of the same configuration.
@@ -322,7 +306,7 @@ fn table_row(
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("millstream micro-benchmark — parallel execution across components (ParallelExecutor) and within one (ShardedExecutor)");
+    println!("millstream micro-benchmark — partitioned execution across components (workers) and within one (shards)");
     println!(
         "filter→union shape, {} tuples per component per run, best of {} interleaved rounds, {cores} core(s){}\n",
         2 * waves() * WAVE_TUPLES,
@@ -332,18 +316,18 @@ fn main() {
 
     // Warm up the allocator, caches and thread spawning before timing.
     let _ = run_serial(1);
-    let _ = run_parallel(1, 1);
+    let _ = run_parallel(1);
     let _ = run_sharded(2);
 
     let ns = [1usize, 2, 4];
     let shard_ns = [1usize, 2, 4];
     let mut serial: Vec<RunResult> = ns.iter().map(|&n| run_serial(n)).collect();
-    let mut parallel: Vec<RunResult> = ns.iter().map(|&n| run_parallel(n, n)).collect();
+    let mut parallel: Vec<RunResult> = ns.iter().map(|&n| run_parallel(n)).collect();
     let mut sharded: Vec<RunResult> = shard_ns.iter().map(|&n| run_sharded(n)).collect();
     for _ in 1..rounds() {
         for (i, &n) in ns.iter().enumerate() {
             keep_min(&mut serial[i], run_serial(n));
-            keep_min(&mut parallel[i], run_parallel(n, n));
+            keep_min(&mut parallel[i], run_parallel(n));
         }
         for (i, &n) in shard_ns.iter().enumerate() {
             keep_min(&mut sharded[i], run_sharded(n));

@@ -16,7 +16,7 @@
 //! Fig. 8 methodology carries over to state: punctuation is injected once
 //! per window length and the lifetime `peak_state` high-water is checked
 //! against the `arity × O(window)` bound the purge contract guarantees
-//! (§11 of DESIGN.md), independent of run length.
+//! (§10 of DESIGN.md), independent of run length.
 //!
 //! The headline acceptance number is the probe-work ratio at the largest
 //! arity × window cell: keyed probing must examine ≥5× fewer candidate
@@ -372,7 +372,10 @@ fn main() {
         budgeted.output.len(),
         unbounded.output.len()
     );
-    assert!(budgeted.stats.spilled_bytes > 0, "budget {budget} must spill");
+    assert!(
+        budgeted.stats.spilled_bytes > 0,
+        "budget {budget} must spill"
+    );
     assert!(budgeted.stats.run_drops > 0, "punctuation must drop runs");
     let reduction =
         unbounded.peak_resident_bytes as f64 / budgeted.peak_resident_bytes.max(1) as f64;

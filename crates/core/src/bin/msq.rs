@@ -48,7 +48,7 @@
 //!             line), then drains gracefully — open sources are closed so
 //!             the final ETS reaches every subscriber.
 //!   --addr A        bind address (default 127.0.0.1:7171; port 0 = OS pick)
-//!   --workers N     parallel-executor worker threads (default 2)
+//!   --workers N     engine worker threads (default 2)
 //!   --idle-ms MS    synthesize a source heartbeat after MS of network
 //!                   silence on a producer connection (default: off)
 //!   --strict        run with MILLSTREAM_CHECK=strict wire sentinels
@@ -81,7 +81,7 @@
 //!
 //! fuzz        differential stream fuzzing: generate seeded random query
 //!             graphs and disordered workloads, run each across every
-//!             EtsPolicy × scheduling policy × serial/parallel ×
+//!             EtsPolicy × scheduling policy × serial/workers/shards ×
 //!             feedback-off/advisory-on cell with MILLSTREAM_CHECK=strict
 //!             semantics, and compare all outputs against a naive
 //!             single-queue oracle (advisory feedback must be
@@ -112,11 +112,9 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use millstream_exec::{
-    Activity, CostModel, EtsPolicy, Executor, ParallelConfig, ParallelExecutor, VirtualClock,
-};
+use millstream_core::{plan_engine, Engine};
+use millstream_exec::{CostModel, EtsPolicy, PartitionedConfig, PartitionedExecutor, Partitioning};
 use millstream_ops::SinkCollector;
-use millstream_query::plan_program;
 use millstream_sim::parse_trace;
 use millstream_types::{Error, Result, Timestamp, Tuple};
 
@@ -239,6 +237,18 @@ struct PrintingCollector {
     latency_sum_us: Arc<AtomicU64>,
 }
 
+impl PrintingCollector {
+    /// Mean entry → delivery latency in milliseconds (NaN before the first
+    /// delivery).
+    fn mean_latency_ms(&self) -> f64 {
+        let delivered = self.count.load(Ordering::Relaxed);
+        if delivered == 0 {
+            return f64::NAN;
+        }
+        self.latency_sum_us.load(Ordering::Relaxed) as f64 / delivered as f64 / 1_000.0
+    }
+}
+
 impl SinkCollector for PrintingCollector {
     fn deliver(&mut self, tuple: Tuple, now: Timestamp) {
         println!("{tuple}");
@@ -255,17 +265,30 @@ fn run(opts: &Options) -> Result<()> {
         .map_err(|e| Error::config(format!("{}: {e}", opts.query_path)))?;
 
     let collector = PrintingCollector::default();
-    let planned = plan_program(&query_text, collector.clone())?;
-
+    let policy = if opts.ets {
+        EtsPolicy::on_demand()
+    } else {
+        EtsPolicy::None
+    };
+    let partitioning = if opts.shards > 1 {
+        Partitioning::sharded(opts.shards)
+    } else {
+        Partitioning::workers(opts.workers)
+    };
+    let config = PartitionedConfig::new(CostModel::default(), policy, partitioning)
+        .with_encore_batch(opts.batch);
+    let planned = plan_engine(&query_text, collector.clone(), config)?;
+    let sharded = matches!(&planned.engine, Engine::Partitioned(p) if p.num_shards() > 1);
+    if opts.shards > 1 && !sharded {
+        let fallback = if opts.dot {
+            "printing the serial plan"
+        } else {
+            "running serial"
+        };
+        eprintln!("# query is unshardable; {fallback}");
+    }
     if opts.dot {
-        if opts.shards > 1 {
-            if let Some(keys) = sharding_of(&query_text)? {
-                print!("{}", planned.graph.to_dot_sharded(opts.shards, &keys));
-                return Ok(());
-            }
-            eprintln!("# query is unshardable; printing the serial plan");
-        }
-        print!("{}", planned.graph.to_dot());
+        print!("{}", planned.plan_dot);
         return Ok(());
     }
 
@@ -277,57 +300,33 @@ fn run(opts: &Options) -> Result<()> {
         .map(|s| (s.stream.as_str(), &s.schema))
         .collect();
     let trace = parse_trace(&trace_text, &stream_refs)?;
-
-    let policy = if opts.ets {
-        EtsPolicy::on_demand()
-    } else {
-        EtsPolicy::None
-    };
-
-    if opts.shards > 1 {
-        match sharding_of(&query_text)? {
-            Some(keys) if planned.graph.num_components() == 1 => {
-                return run_sharded(opts, &query_text, planned, trace, keys, policy, &collector);
-            }
-            _ => eprintln!("# query is unshardable; running serial"),
-        }
-    }
-
-    if opts.workers > 1 {
-        return run_parallel(opts, planned, trace, policy, &collector);
-    }
-
-    let mut executor = Executor::new(
-        planned.graph,
-        VirtualClock::shared(),
-        CostModel::default(),
-        policy,
-    )
-    .with_encore_batch(opts.batch);
-    if opts.trace {
-        executor.enable_trace(64);
-    }
-
-    eprintln!(
+    let source_by_index: Vec<_> = planned.sources.iter().map(|s| s.id).collect();
+    let header = format!(
         "# {} record(s), {} stream(s), output schema {}",
         trace.len(),
         planned.sources.len(),
         planned.output_schema
     );
 
+    let mut executor = match planned.engine {
+        Engine::Serial(executor) => *executor,
+        Engine::Partitioned(pex) => {
+            return run_partitioned(opts, *pex, &header, &source_by_index, &trace, &collector);
+        }
+    };
+    if opts.trace {
+        executor.enable_trace(64);
+    }
+    eprintln!("{header}");
+
     // Replay the trace, printing rows as the sink delivers them. Records
     // sharing an arrival timestamp land together before the engine runs —
     // they arrived simultaneously — so the scheduler sees real queues (and
     // `--batch` has runs to fuse) instead of one tuple at a time.
-    let source_by_index: Vec<_> = planned.sources.iter().map(|s| s.id).collect();
     let mut pending_at: Option<Timestamp> = None;
     for rec in &trace {
         if pending_at.is_some_and(|at| at != rec.at) {
-            loop {
-                if matches!(executor.step()?, Activity::Quiescent) {
-                    break;
-                }
-            }
+            executor.run_until_quiescent(u64::MAX)?;
         }
         pending_at = Some(rec.at);
         let source = source_by_index[rec.stream];
@@ -335,20 +334,12 @@ fn run(opts: &Options) -> Result<()> {
         let ts = executor.clock().now();
         executor.ingest(source, Tuple::data(ts, rec.values.clone()))?;
     }
-    loop {
-        if matches!(executor.step()?, Activity::Quiescent) {
-            break;
-        }
-    }
+    executor.run_until_quiescent(u64::MAX)?;
 
-    let delivered = collector.count.load(Ordering::Relaxed);
-    let mean_ms = if delivered == 0 {
-        f64::NAN
-    } else {
-        collector.latency_sum_us.load(Ordering::Relaxed) as f64 / delivered as f64 / 1_000.0
-    };
     eprintln!(
-        "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; on-demand ETS {}",
+        "# delivered {} row(s); mean latency {:.3} ms; on-demand ETS {}",
+        collector.count.load(Ordering::Relaxed),
+        collector.mean_latency_ms(),
         executor.stats().ets_generated
     );
 
@@ -360,164 +351,57 @@ fn run(opts: &Options) -> Result<()> {
     }
 
     if opts.profile {
-        eprintln!("\n# per-operator profile");
-        eprintln!(
-            "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-            "operator", "steps", "consumed", "produced", "busy (us)"
-        );
-        for p in executor.profile() {
-            eprintln!(
-                "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-                p.name, p.steps, p.consumed, p.produced, p.busy_micros
-            );
-        }
+        print_profile("# per-operator profile", executor.profile());
     }
     Ok(())
 }
 
-/// Runs the planner's shard-key analysis on a program text.
-fn sharding_of(query_text: &str) -> Result<Option<Vec<millstream_exec::ShardKey>>> {
-    let stmts = millstream_query::parse_program(query_text)?;
-    let mut catalog = millstream_query::Catalog::new();
-    let queries = catalog.apply(stmts)?;
-    let [query] = queries.as_slice() else {
-        return Ok(None);
-    };
-    millstream_query::shard_keys(&catalog, query)
+/// Prints the per-operator profile table to stderr.
+fn print_profile(title: &str, profile: &[millstream_exec::OpProfile]) {
+    eprintln!("\n{title}");
+    eprintln!(
+        "# {:<14} {:>8} {:>10} {:>10} {:>12}",
+        "operator", "steps", "consumed", "produced", "busy (us)"
+    );
+    for p in profile {
+        eprintln!(
+            "# {:<14} {:>8} {:>10} {:>10} {:>12}",
+            p.name, p.steps, p.consumed, p.produced, p.busy_micros
+        );
+    }
 }
 
-/// The `--shards N` path: the single-component plan replicated across N
-/// key-partitioned shard workers behind an exchange edge, merged back into
-/// timestamp order by per-worker frontier summaries. The same epoch
-/// discipline as the other backends: records sharing an arrival timestamp
-/// land together, then a quiescence barrier runs every shard.
-fn run_sharded(
+/// The `--workers N` / `--shards N` path: the plan's components on worker
+/// threads, or its one component key-partitioned across N shards behind an
+/// exchange edge, merged back into timestamp order by per-shard frontier
+/// summaries. The trace replay keeps the serial driver's epoch discipline
+/// — records sharing an arrival timestamp land together, then a
+/// quiescence barrier runs every slot — so output per sink is identical
+/// to the serial run.
+fn run_partitioned(
     opts: &Options,
-    query_text: &str,
-    planned: millstream_query::PlannedQuery,
-    trace: Vec<millstream_sim::TraceRecord>,
-    keys: Vec<millstream_exec::ShardKey>,
-    policy: EtsPolicy,
+    mut pex: PartitionedExecutor,
+    header: &str,
+    source_by_index: &[millstream_exec::SourceId],
+    trace: &[millstream_sim::TraceRecord],
     collector: &PrintingCollector,
 ) -> Result<()> {
-    let stmts = millstream_query::parse_program(query_text)?;
-    let mut catalog = millstream_query::Catalog::new();
-    let mut queries = catalog.apply(stmts)?;
-    let query = queries.pop().ok_or_else(|| Error::plan("no query"))?;
-
-    let source_by_index: Vec<_> = planned.sources.iter().map(|s| s.id).collect();
-    let config = millstream_exec::ShardedConfig {
-        opts: millstream_exec::ExecOptions {
-            encore_batch: opts.batch.max(1),
-        },
-        ..millstream_exec::ShardedConfig::new(CostModel::default(), policy, opts.shards)
-    }
-    .with_keys(keys);
-    let mut sx = millstream_exec::ShardedExecutor::new(
-        |_, out| millstream_query::plan_query(&catalog, &query, out).map(|p| p.graph),
-        planned.output_schema.clone(),
-        Box::new(collector.clone()),
-        config,
-    )?;
-
-    eprintln!(
-        "# {} record(s), {} stream(s), output schema {}; {} shard(s) behind the exchange",
-        trace.len(),
-        planned.sources.len(),
-        planned.output_schema,
-        sx.num_shards(),
-    );
-
-    let mut pending_at: Option<Timestamp> = None;
-    for rec in &trace {
-        if pending_at.is_some_and(|at| at != rec.at) {
-            sx.run_until_quiescent(u64::MAX)?;
-        }
-        pending_at = Some(rec.at);
-        sx.advance_to(rec.at)?;
-        sx.ingest(
-            source_by_index[rec.stream],
-            Tuple::data(rec.at, rec.values.clone()),
-        )?;
-    }
-    sx.run_until_quiescent(u64::MAX)?;
-
-    let snap = sx.snapshot()?;
-    let delivered = collector.count.load(Ordering::Relaxed);
-    let mean_ms = if delivered == 0 {
-        f64::NAN
+    let sharded = pex.num_shards() > 1;
+    if sharded {
+        eprintln!(
+            "{header}; {} shard(s) behind the exchange",
+            pex.num_shards()
+        );
     } else {
-        collector.latency_sum_us.load(Ordering::Relaxed) as f64 / delivered as f64 / 1_000.0
-    };
-    eprintln!(
-        "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; {} frontier advance(s), \
-         {} merge floor heartbeat(s), {} frontier violation(s)",
-        snap.frontier_advances.iter().sum::<u64>(),
-        snap.merge_heartbeats,
-        snap.frontier_violations,
-    );
-
-    if opts.trace {
-        eprintln!("# --trace is per-shard state; not merged under --shards");
-    }
-
-    if opts.profile {
-        eprintln!("\n# per-operator profile (summed across shard replicas)");
         eprintln!(
-            "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-            "operator", "steps", "consumed", "produced", "busy (us)"
+            "{header}; {} component(s) on {} worker(s)",
+            pex.num_components(),
+            pex.num_workers()
         );
-        for p in &snap.profile {
-            eprintln!(
-                "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-                p.name, p.steps, p.consumed, p.produced, p.busy_micros
-            );
-        }
-        eprintln!("\n# per-shard busy time");
-        for (j, b) in snap.busy_nanos.iter().enumerate() {
-            eprintln!(
-                "#   shard {j}: {:.3} ms busy, floor {:?}, {} advance(s)",
-                *b as f64 / 1e6,
-                snap.floors[j].map(|t| t.as_micros()),
-                snap.frontier_advances[j],
-            );
-        }
     }
-    Ok(())
-}
-
-/// The `--workers N` path: one worker thread per plan component. The trace
-/// replay keeps the serial driver's epoch discipline — records sharing an
-/// arrival timestamp land together, then a quiescence barrier runs every
-/// component — so output per sink is identical to the serial run.
-fn run_parallel(
-    opts: &Options,
-    planned: millstream_query::PlannedQuery,
-    trace: Vec<millstream_sim::TraceRecord>,
-    policy: EtsPolicy,
-    collector: &PrintingCollector,
-) -> Result<()> {
-    let source_by_index: Vec<_> = planned.sources.iter().map(|s| s.id).collect();
-    let config = ParallelConfig::new(CostModel::default(), policy, opts.workers);
-    let config = ParallelConfig {
-        opts: millstream_exec::ExecOptions {
-            encore_batch: opts.batch.max(1),
-        },
-        ..config
-    };
-    let pex = ParallelExecutor::new(planned.graph, config);
-
-    eprintln!(
-        "# {} record(s), {} stream(s), output schema {}; {} component(s) on {} worker(s)",
-        trace.len(),
-        planned.sources.len(),
-        planned.output_schema,
-        pex.num_components(),
-        pex.num_workers(),
-    );
 
     let mut pending_at: Option<Timestamp> = None;
-    for rec in &trace {
+    for rec in trace {
         if pending_at.is_some_and(|at| at != rec.at) {
             pex.run_until_quiescent(u64::MAX)?;
         }
@@ -532,30 +416,44 @@ fn run_parallel(
 
     let snap = pex.snapshot()?;
     let delivered = collector.count.load(Ordering::Relaxed);
-    let mean_ms = if delivered == 0 {
-        f64::NAN
+    let mean_ms = collector.mean_latency_ms();
+    if sharded {
+        eprintln!(
+            "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; {} frontier advance(s), \
+             {} merge floor heartbeat(s), {} frontier violation(s)",
+            snap.frontier_advances.iter().sum::<u64>(),
+            snap.merge_heartbeats,
+            snap.frontier_violations,
+        );
     } else {
-        collector.latency_sum_us.load(Ordering::Relaxed) as f64 / delivered as f64 / 1_000.0
-    };
-    eprintln!(
-        "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; on-demand ETS {}",
-        snap.stats.ets_generated
-    );
+        eprintln!(
+            "# delivered {delivered} row(s); mean latency {mean_ms:.3} ms; on-demand ETS {}",
+            snap.stats.ets_generated
+        );
+    }
 
     if opts.trace {
-        eprintln!("# --trace is per-component state; not merged under --workers");
+        eprintln!("# --trace is per-slot state; not merged under --workers or --shards");
     }
 
     if opts.profile {
-        eprintln!("\n# per-operator profile");
-        eprintln!(
-            "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-            "operator", "steps", "consumed", "produced", "busy (us)"
+        if !sharded {
+            print_profile("# per-operator profile", &snap.profile);
+            return Ok(());
+        }
+        print_profile(
+            "# per-operator profile (summed across shard replicas)",
+            &snap.profile,
         );
-        for p in &snap.profile {
+        eprintln!("\n# per-shard busy time");
+        // One worker per shard (`Partitioning::sharded`): worker j hosts
+        // shard j.
+        for (j, floor) in snap.floors.iter().enumerate() {
             eprintln!(
-                "# {:<14} {:>8} {:>10} {:>10} {:>12}",
-                p.name, p.steps, p.consumed, p.produced, p.busy_micros
+                "#   shard {j}: {:.3} ms busy, floor {:?}, {} advance(s)",
+                snap.worker_busy_nanos[j] as f64 / 1e6,
+                floor.map(|t| t.as_micros()),
+                snap.frontier_advances[j],
             );
         }
     }
@@ -693,7 +591,7 @@ fn run_serve(args: &[String]) -> Result<()> {
     eprintln!(
         "# served {} connection(s): {} tuple(s) in, {} heartbeat(s), {} synthesized, \
          {} duplicate(s) dropped, {} rejected; {} row(s) delivered",
-        s.connections,
+        s.conns_total,
         s.tuples_ingested,
         s.heartbeats_in,
         s.synthesized_heartbeats,

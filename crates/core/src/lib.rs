@@ -23,11 +23,10 @@
 //! | [`types`] | `millstream-types` | timestamps, tuples, punctuation, schemas, expressions |
 //! | [`buffer`] | `millstream-buffer` | FIFO arcs, TSM registers, occupancy tracking |
 //! | [`ops`] | `millstream-ops` | selection, projection, union, window join, aggregation, sinks |
-//! | [`exec`] | `millstream-exec` | query graphs, the NOS executor, ETS policies, virtual clock |
+//! | [`exec`] | `millstream-exec` | query graphs, the NOS executor, the partitioned engine, ETS policies, virtual clock |
 //! | [`metrics`] | `millstream-metrics` | latency histograms, idle-time integration |
 //! | [`sim`] | `millstream-sim` | discrete-event driver, workloads, the §6 experiments |
 //! | [`query`] | `millstream-query` | the continuous-query language (lexer/parser/planner) |
-//! | [`rt`] | `millstream-rt` | the real-time, thread-per-operator engine |
 //!
 //! ## Quick start
 //!
@@ -54,8 +53,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod engine;
 mod runner;
 
+pub use engine::{plan_engine, Engine, PlannedEngine};
 pub use runner::QueryRunner;
 
 pub use millstream_buffer as buffer;
@@ -63,7 +64,6 @@ pub use millstream_exec as exec;
 pub use millstream_metrics as metrics;
 pub use millstream_ops as ops;
 pub use millstream_query as query;
-pub use millstream_rt as rt;
 pub use millstream_sim as sim;
 pub use millstream_types as types;
 
@@ -72,8 +72,8 @@ pub mod prelude {
     pub use crate::QueryRunner;
     pub use millstream_exec::{
         Activity, CostModel, EtsPolicy, ExecStats, Executor, GraphBuilder, Input, NodeId,
-        OpProfile, ParallelConfig, ParallelExecutor, ParallelSnapshot, QueryGraph, SchedPolicy,
-        SourceId, VirtualClock,
+        OpProfile, PartitionedConfig, PartitionedExecutor, PartitionedSnapshot, Partitioning,
+        QueryGraph, SchedPolicy, SourceId, VirtualClock,
     };
     pub use millstream_metrics::{LatencyRecorder, RunMetrics};
     pub use millstream_ops::{

@@ -7,13 +7,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use millstream_exec::{
-    CostModel, EtsPolicy, Executor, OpProfile, ParallelConfig, ParallelExecutor, ShardedConfig,
-    ShardedExecutor, SourceId, VirtualClock,
-};
+use millstream_exec::{CostModel, EtsPolicy, OpProfile, PartitionedConfig, Partitioning, SourceId};
 use millstream_ops::{SinkCollector, VecCollector};
-use millstream_query::{plan_program, plan_query, shard_keys, Catalog, PlannedSource};
+use millstream_query::PlannedSource;
 use millstream_types::{Error, Result, Schema, Timestamp, Tuple, Value};
+
+use crate::engine::{plan_engine, Engine};
 
 /// A `SinkCollector` that shares its deliveries with the runner.
 #[derive(Clone, Default)]
@@ -47,35 +46,20 @@ pub struct QueryRunner {
     sources: Vec<PlannedSource>,
     output: SharedVec,
     output_schema: Schema,
+    plan_dot: String,
     drained: usize,
-}
-
-/// The execution backend behind a [`QueryRunner`].
-enum Engine {
-    /// The single-threaded depth-first NOS executor.
-    Serial(Box<Executor>),
-    /// One worker thread per query-graph component (`msq --workers N`).
-    /// The plan DOT is rendered before partitioning (the whole graph).
-    Parallel {
-        pex: Box<ParallelExecutor>,
-        plan_dot: String,
-    },
-    /// One component key-partitioned across N shard workers behind an
-    /// exchange edge, with frontier summaries driving the order-restoring
-    /// merge (`msq --shards N`).
-    Sharded(Box<ShardedExecutor>),
 }
 
 impl QueryRunner {
     /// Compiles `program` (CREATE STREAM statements + one query).
     ///
     /// Honors two environment variables: `MILLSTREAM_SHARDS` ≥ 2 selects
-    /// the key-partitioned intra-component backend (the programmatic
+    /// the key-partitioned intra-component engine (the programmatic
     /// equivalent of `msq --shards N`; unshardable queries transparently
     /// fall back to the serial executor), and otherwise
-    /// `MILLSTREAM_WORKERS` ≥ 1 selects the parallel per-component backend
-    /// (`msq --workers N`). With neither set the serial executor runs the
-    /// whole graph.
+    /// `MILLSTREAM_WORKERS` ≥ 2 spreads the plan's components over that
+    /// many worker threads (`msq --workers N`). Otherwise the serial
+    /// executor runs the whole graph.
     ///
     /// Independently, `MILLSTREAM_JOIN_SPILL` (the env spelling of
     /// `msq --join-spill-budget`) gives every join input a tiered state:
@@ -84,125 +68,61 @@ impl QueryRunner {
     /// any setting; only peak resident join state changes
     /// ([`millstream_ops::TierConfig`]).
     pub fn new(program: &str) -> Result<QueryRunner> {
-        if let Some(shards) = std::env::var("MILLSTREAM_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&s| s >= 2)
-        {
-            return QueryRunner::new_sharded(program, shards);
-        }
-        match std::env::var("MILLSTREAM_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-        {
-            Some(workers) => QueryRunner::new_parallel(program, workers),
-            None => QueryRunner::new_serial(program),
-        }
-    }
-
-    /// Compiles `program` onto the sharded intra-component backend: the
-    /// planner derives per-source partition keys
-    /// ([`millstream_query::shard_keys`]) and the plan is replicated once
-    /// per shard behind a key-partitioned exchange edge. Queries the
-    /// analysis deems unshardable (window cross products, bare
-    /// aggregates, conflicting keys, latent streams) and multi-component
-    /// plans fall back to the serial executor — check
-    /// [`QueryRunner::shards`] to see which backend actually runs.
-    pub fn new_sharded(program: &str, shards: usize) -> Result<QueryRunner> {
-        let stmts = millstream_query::parse_program(program)?;
-        let mut catalog = Catalog::new();
-        let mut queries = catalog.apply(stmts)?;
-        if queries.len() != 1 {
-            return Err(Error::plan(format!(
-                "program contains {} queries; plan one at a time",
-                queries.len()
-            )));
-        }
-        let query = queries.pop().expect("len checked");
-        let Some(keys) = shard_keys(&catalog, &query)? else {
-            return QueryRunner::new_serial(program);
+        let env = |name| {
+            std::env::var(name)
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
         };
-        // Probe plan: reject multi-component graphs (those belong to the
-        // per-component backend) and capture sources/output schema.
-        let probe = plan_query(&catalog, &query, VecCollector::default())?;
-        if probe.graph.num_components() != 1 {
-            return QueryRunner::new_serial(program);
-        }
-        let output = SharedVec::default();
-        let sx = ShardedExecutor::new(
-            |_, out| plan_query(&catalog, &query, out).map(|p| p.graph),
-            probe.output_schema.clone(),
-            Box::new(output.clone()),
-            // Same discipline as the serial backend: explicit timestamps,
-            // no wall-clock ETS — frontier summaries do the unblocking.
-            ShardedConfig::new(CostModel::free(), EtsPolicy::None, shards).with_keys(keys),
-        )?;
-        Ok(QueryRunner {
-            engine: Engine::Sharded(Box::new(sx)),
-            sources: probe.sources,
-            output,
-            output_schema: probe.output_schema,
-            drained: 0,
-        })
+        let partitioning = match (env("MILLSTREAM_SHARDS"), env("MILLSTREAM_WORKERS")) {
+            (Some(shards), _) if shards >= 2 => Partitioning::sharded(shards),
+            (_, Some(workers)) => Partitioning::workers(workers),
+            _ => Partitioning::workers(1),
+        };
+        QueryRunner::with_partitioning(program, partitioning)
     }
 
     /// Compiles `program` onto the single-threaded executor.
     pub fn new_serial(program: &str) -> Result<QueryRunner> {
+        QueryRunner::with_partitioning(program, Partitioning::workers(1))
+    }
+
+    /// Compiles `program` onto the engine `partitioning` selects (see
+    /// [`crate::plan_engine`]): more than one shard key-partitions a
+    /// shardable single-component plan, falling back to the serial
+    /// executor otherwise; more than one worker spreads the plan's
+    /// components over threads. Check [`QueryRunner::shards`] and
+    /// [`QueryRunner::workers`] to see which engine actually runs.
+    pub fn with_partitioning(program: &str, partitioning: Partitioning) -> Result<QueryRunner> {
         let output = SharedVec::default();
-        let planned = plan_program(program, output.clone())?;
-        let clock = VirtualClock::shared();
-        let executor = Executor::new(
-            planned.graph,
-            clock,
-            CostModel::free(),
-            // Explicit timestamps are application time; ETS, if wanted,
-            // comes from `flush` rather than the wall clock.
-            EtsPolicy::None,
-        );
+        // Explicit timestamps are application time; ETS, if wanted, comes
+        // from `advance_time` rather than the wall clock. Sharded engines
+        // unblock through their frontier summaries.
+        let config = PartitionedConfig::new(CostModel::free(), EtsPolicy::None, partitioning);
+        let planned = plan_engine(program, output.clone(), config)?;
         Ok(QueryRunner {
-            engine: Engine::Serial(Box::new(executor)),
+            engine: planned.engine,
             sources: planned.sources,
             output,
             output_schema: planned.output_schema,
+            plan_dot: planned.plan_dot,
             drained: 0,
         })
     }
 
-    /// Compiles `program` onto the parallel per-component backend with up
-    /// to `workers` threads (components are multiplexed when fewer).
-    pub fn new_parallel(program: &str, workers: usize) -> Result<QueryRunner> {
-        let output = SharedVec::default();
-        let planned = plan_program(program, output.clone())?;
-        let plan_dot = planned.graph.to_dot();
-        let pex = Box::new(ParallelExecutor::new(
-            planned.graph,
-            ParallelConfig::new(CostModel::free(), EtsPolicy::None, workers),
-        ));
-        Ok(QueryRunner {
-            engine: Engine::Parallel { pex, plan_dot },
-            sources: planned.sources,
-            output,
-            output_schema: planned.output_schema,
-            drained: 0,
-        })
-    }
-
-    /// Worker threads in use (1 means the serial backend).
+    /// Worker threads in use (1 means the serial executor).
     pub fn workers(&self) -> usize {
         match &self.engine {
             Engine::Serial(_) => 1,
-            Engine::Parallel { pex, .. } => pex.num_workers(),
-            Engine::Sharded(sx) => sx.num_shards(),
+            Engine::Partitioned(p) => p.num_workers(),
         }
     }
 
-    /// Exchange shards in use: >1 only on the sharded backend (so 1 after
-    /// an unshardable-query fallback).
+    /// Exchange shards in use: >1 only on a sharded engine (so 1 after an
+    /// unshardable-query fallback).
     pub fn shards(&self) -> usize {
         match &self.engine {
-            Engine::Sharded(sx) => sx.num_shards(),
-            _ => 1,
+            Engine::Serial(_) => 1,
+            Engine::Partitioned(p) => p.num_shards(),
         }
     }
 
@@ -213,20 +133,15 @@ impl QueryRunner {
 
     /// Renders the compiled plan as Graphviz DOT.
     pub fn plan_dot(&self) -> String {
-        match &self.engine {
-            Engine::Serial(e) => e.graph().to_dot(),
-            Engine::Parallel { plan_dot, .. } => plan_dot.clone(),
-            Engine::Sharded(sx) => sx.plan_dot().to_string(),
-        }
+        self.plan_dot.clone()
     }
 
     /// Per-operator execution profile so far (steps, tuples, virtual
-    /// time), in plan order regardless of backend.
-    pub fn profile(&self) -> Vec<OpProfile> {
-        match &self.engine {
+    /// time), in plan order on every engine.
+    pub fn profile(&mut self) -> Vec<OpProfile> {
+        match &mut self.engine {
             Engine::Serial(e) => e.profile().to_vec(),
-            Engine::Parallel { pex, .. } => pex.snapshot().map(|s| s.profile).unwrap_or_default(),
-            Engine::Sharded(sx) => sx.snapshot().map(|s| s.profile).unwrap_or_default(),
+            Engine::Partitioned(p) => p.snapshot().map(|s| s.profile).unwrap_or_default(),
         }
     }
 
@@ -245,9 +160,8 @@ impl QueryRunner {
 
     /// Pushes one tuple with an explicit timestamp (microseconds), then
     /// runs the executor until quiescent. Errors (schema mismatch,
-    /// out-of-order timestamps) are reported from this call on both
-    /// backends: the parallel ingest is fire-and-forget, but `run`'s
-    /// quiescence barrier surfaces any error it caused.
+    /// out-of-order timestamps) are reported from this call on every
+    /// engine.
     pub fn push(&mut self, stream: &str, ts_micros: u64, values: Vec<Value>) -> Result<()> {
         let id = self.source_id(stream)?;
         let schema = &self
@@ -263,13 +177,9 @@ impl QueryRunner {
                 e.clock().advance_to(ts);
                 e.ingest(id, Tuple::data(ts, values))?;
             }
-            Engine::Parallel { pex, .. } => {
-                pex.advance_to(ts)?;
-                pex.ingest(id, Tuple::data(ts, values))?;
-            }
-            Engine::Sharded(sx) => {
-                sx.advance_to(ts)?;
-                sx.ingest(id, Tuple::data(ts, values))?;
+            Engine::Partitioned(p) => {
+                p.advance_to(ts)?;
+                p.ingest(id, Tuple::data(ts, values))?;
             }
         }
         self.run()
@@ -287,16 +197,10 @@ impl QueryRunner {
                     e.ingest_heartbeat(s.id, ts)?;
                 }
             }
-            Engine::Parallel { pex, .. } => {
-                pex.advance_to(ts)?;
+            Engine::Partitioned(p) => {
+                p.advance_to(ts)?;
                 for s in self.sources.clone() {
-                    pex.ingest_heartbeat(s.id, ts)?;
-                }
-            }
-            Engine::Sharded(sx) => {
-                sx.advance_to(ts)?;
-                for s in self.sources.clone() {
-                    sx.ingest_heartbeat(s.id, ts)?;
+                    p.ingest_heartbeat(s.id, ts)?;
                 }
             }
         }
@@ -311,11 +215,8 @@ impl QueryRunner {
             Engine::Serial(e) => {
                 e.run_until_quiescent(10_000_000)?;
             }
-            Engine::Parallel { pex, .. } => {
-                pex.run_until_quiescent(10_000_000)?;
-            }
-            Engine::Sharded(sx) => {
-                sx.run_until_quiescent(10_000_000)?;
+            Engine::Partitioned(p) => {
+                p.run_until_quiescent(10_000_000)?;
             }
         }
         Ok(())
@@ -340,8 +241,7 @@ impl QueryRunner {
         for s in self.sources.clone() {
             match &mut self.engine {
                 Engine::Serial(e) => e.close_source(s.id)?,
-                Engine::Parallel { pex, .. } => pex.close_source(s.id)?,
-                Engine::Sharded(sx) => sx.close_source(s.id)?,
+                Engine::Partitioned(p) => p.close_source(s.id)?,
             }
         }
         self.run()?;
@@ -537,7 +437,7 @@ mod tests {
         };
         let serial = QueryRunner::new_serial(program).unwrap();
         assert_eq!(serial.workers(), 1);
-        let parallel = QueryRunner::new_parallel(program, 4).unwrap();
+        let parallel = QueryRunner::with_partitioning(program, Partitioning::workers(4)).unwrap();
         assert_eq!(
             parallel.workers(),
             1,
@@ -552,11 +452,11 @@ mod tests {
 
     #[test]
     fn parallel_backend_rejects_out_of_order_push() {
-        let mut q = QueryRunner::new_parallel(
+        let mut q = QueryRunner::with_partitioning(
             "CREATE STREAM a (v INT);
              CREATE STREAM b (v INT);
              SELECT v FROM a UNION SELECT v FROM b;",
-            2,
+            Partitioning::workers(2),
         )
         .unwrap();
         q.push("a", 100, vec![Value::Int(1)]).unwrap();
@@ -594,7 +494,7 @@ mod tests {
         };
         let serial = drive(QueryRunner::new_serial(program).unwrap());
         for shards in [2usize, 4] {
-            let q = QueryRunner::new_sharded(program, shards).unwrap();
+            let q = QueryRunner::with_partitioning(program, Partitioning::sharded(shards)).unwrap();
             assert_eq!(q.shards(), shards, "grouped query is shardable");
             let sharded = drive(q);
             assert_eq!(serial.len(), sharded.len());
@@ -617,20 +517,20 @@ mod tests {
     #[test]
     fn unshardable_query_falls_back_to_serial() {
         // A bare-window cross product is unshardable: pairs would be lost
-        // across shards. new_sharded must fall back, not fail or mis-run.
-        let q = QueryRunner::new_sharded(
+        // across shards. The sharded engine must fall back, not fail or mis-run.
+        let q = QueryRunner::with_partitioning(
             "CREATE STREAM a (v INT);
              CREATE STREAM b (v INT);
              SELECT a.v FROM a AS a JOIN b AS b ON TRUE WINDOW 1 SECONDS;",
-            4,
+            Partitioning::sharded(4),
         )
         .unwrap();
         assert_eq!(q.shards(), 1, "fell back to serial");
 
-        let mut q = QueryRunner::new_sharded(
+        let mut q = QueryRunner::with_partitioning(
             "CREATE STREAM a (k INT, v INT);
              SELECT k, SUM(v) AS s FROM a GROUP BY k EVERY 1 SECONDS;",
-            4,
+            Partitioning::sharded(4),
         )
         .unwrap();
         assert_eq!(q.shards(), 4, "keyed aggregate is shardable");
@@ -642,10 +542,10 @@ mod tests {
 
     #[test]
     fn sharded_backend_rejects_out_of_order_push() {
-        let mut q = QueryRunner::new_sharded(
+        let mut q = QueryRunner::with_partitioning(
             "CREATE STREAM a (v INT);
              SELECT v FROM a WHERE v > 0;",
-            2,
+            Partitioning::sharded(2),
         )
         .unwrap();
         q.push("a", 100, vec![Value::Int(1)]).unwrap();

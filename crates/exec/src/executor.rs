@@ -158,7 +158,7 @@ impl ExecStats {
     /// Accumulates another executor's counters into this one — the single
     /// definition of cross-component stats merging, so a counter added to
     /// `ExecStats` can never be silently dropped from a merged
-    /// [`crate::ParallelSnapshot`].
+    /// [`crate::PartitionedSnapshot`].
     pub fn merge(&mut self, other: &ExecStats) {
         let ExecStats {
             steps,

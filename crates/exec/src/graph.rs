@@ -1029,6 +1029,23 @@ mod tests {
     }
 
     #[test]
+    fn plan_dot_renders_exchange_and_shards() {
+        let mut b = GraphBuilder::new();
+        let s = b.source("S", schema(), TimestampKind::Internal);
+        let f = b.operator(filter("σ"), vec![Input::Source(s)]).unwrap();
+        b.operator(
+            Box::new(Sink::new("sink", schema(), VecCollector::default())),
+            vec![Input::Op(f)],
+        )
+        .unwrap();
+        let dot = b.build().unwrap().to_dot_sharded(2, &[ShardKey::WholeRow]);
+        assert!(dot.contains("exchange ×2"), "{dot}");
+        assert!(dot.contains("cluster_shard0"), "{dot}");
+        assert!(dot.contains("cluster_shard1"), "{dot}");
+        assert!(dot.contains("ts-merge"), "{dot}");
+    }
+
+    #[test]
     fn rejects_arity_mismatch() {
         let mut b = GraphBuilder::new();
         let s1 = b.source("S1", schema(), TimestampKind::Internal);

@@ -11,6 +11,8 @@
 //!   generation inside the backtrack mechanism** (§4–5);
 //! * [`EtsPolicy`] — the §5 generation rules (internal clock, external
 //!   skew-bound `t + τ − δ`);
+//! * [`PartitionedExecutor`] — the same executor, one per connected
+//!   component or key shard, on a pool of worker threads;
 //! * [`VirtualClock`] / [`CostModel`] — the deterministic timeline the
 //!   experiments run on.
 
@@ -18,14 +20,12 @@
 #![warn(rust_2018_idioms)]
 
 mod clock;
-mod exchange;
 mod executor;
 mod graph;
-mod parallel;
+mod partitioned;
 mod strategy;
 
 pub use clock::{CostModel, VirtualClock};
-pub use exchange::{ShardOutput, ShardedConfig, ShardedExecutor, ShardedSnapshot, MAX_SHARDS};
 pub use executor::{
     Activity, ExecOptions, ExecStats, Executor, FeedbackConfig, OpProfile, SchedPolicy,
 };
@@ -36,5 +36,8 @@ pub use graph::{
 pub use millstream_buffer::{
     CheckMode, FeedbackRegisters, FeedbackSignal, PressureLevel, SentinelStats, Watermarks,
 };
-pub use parallel::{IngestHandle, ParallelConfig, ParallelExecutor, ParallelSnapshot};
+pub use partitioned::{
+    PartitionedConfig, PartitionedExecutor, PartitionedSnapshot, Partitioning, ShardOutput,
+    MAX_SHARDS,
+};
 pub use strategy::{frontier_advance, EtsPolicy};

@@ -89,7 +89,7 @@ impl EtsPolicy {
 }
 
 /// Gates a sharded **on-demand frontier advance** — the exchange-edge
-/// analogue of on-demand ETS (see [`crate::ShardedExecutor`]).
+/// analogue of on-demand ETS (see [`crate::PartitionedExecutor`]).
 ///
 /// Where the serial backtrack mechanism asks a starved source's register
 /// for an ETS, a starved shard replica (or the coordinator's merge stage)

@@ -1,12 +1,12 @@
 //! Feedback-punctuation integration tests: upstream pressure propagation,
-//! declared load shedding, and the parallel executor's lock-free pressure
+//! declared load shedding, and the partitioned executor's lock-free pressure
 //! surface.
 
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CostModel, EtsPolicy, Executor, FeedbackConfig, GraphBuilder, Input, ParallelConfig,
-    ParallelExecutor, PressureLevel, VirtualClock, Watermarks,
+    CostModel, EtsPolicy, Executor, FeedbackConfig, GraphBuilder, Input, PartitionedConfig,
+    PartitionedExecutor, Partitioning, PressureLevel, VirtualClock, Watermarks,
 };
 use millstream_ops::{Filter, Reorder, Sink, SinkCollector};
 use millstream_types::{
@@ -211,9 +211,9 @@ fn parallel_pressure_and_shed_accounting() {
     )
     .unwrap();
 
-    let pex = ParallelExecutor::new(
+    let mut pex = PartitionedExecutor::new(
         b.build().unwrap(),
-        ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2)
+        PartitionedConfig::new(CostModel::free(), EtsPolicy::None, Partitioning::workers(2))
             .with_feedback(FeedbackConfig::new(Watermarks::new(2, 4)).with_shed(true)),
     );
     assert_eq!(pex.num_components(), 2);
@@ -234,7 +234,7 @@ fn parallel_pressure_and_shed_accounting() {
     for i in 6..9u64 {
         pex.ingest(s1, data(i)).unwrap();
     }
-    pex.barrier().unwrap();
+    pex.run_until_quiescent(0).unwrap();
     pex.run_until_quiescent(u64::MAX).unwrap();
     let snap = pex.snapshot().unwrap();
     assert_eq!(snap.shed_per_source, vec![3, 0]);

@@ -1,18 +1,18 @@
-//! Differential test: the ingest-path semantics of [`ParallelExecutor`]
-//! must match the serial [`Executor`] exactly — closed-source errors,
-//! punctuation-misuse errors, stale-heartbeat drops and the
-//! `dropped_stale_heartbeats` counter all have to survive the command
-//! channel and merge correctly into [`ParallelSnapshot`].
+//! Differential test: the ingest-path semantics of the
+//! [`PartitionedExecutor`] must match the serial [`Executor`] exactly —
+//! closed-source errors, punctuation-misuse errors, out-of-order errors,
+//! stale-heartbeat drops and the `dropped_stale_heartbeats` counter all
+//! have to survive the command channel and merge correctly into
+//! [`millstream_exec::PartitionedSnapshot`].
 //!
-//! The only sanctioned difference is *when* an error is observed: the
-//! serial executor reports it from the ingest call itself, the parallel
-//! executor from the next quiescence barrier (fire-and-forget sends).
+//! Every backend reports an ingest error from the call itself, with the
+//! serial executor's error, never deferred to the next barrier.
 
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CostModel, EtsPolicy, ExecStats, Executor, GraphBuilder, Input, ParallelConfig,
-    ParallelExecutor, QueryGraph, SourceId, VirtualClock,
+    CostModel, EtsPolicy, ExecStats, Executor, GraphBuilder, Input, PartitionedConfig,
+    PartitionedExecutor, Partitioning, QueryGraph, SourceId, VirtualClock,
 };
 use millstream_ops::{Sink, SinkCollector, Union};
 use millstream_types::{DataType, Error, Field, Schema, Timestamp, TimestampKind, Tuple, Value};
@@ -30,9 +30,9 @@ fn schema() -> Schema {
     Schema::new(vec![Field::new("v", DataType::Int)])
 }
 
-/// S1, S2 → ∪ → sink — one component, so serial and parallel host the
-/// same graph shape.
-fn union_graph() -> (QueryGraph, [SourceId; 2], Out) {
+/// S1, S2 → ∪ → sink — one component, so every backend hosts the same
+/// graph shape.
+fn union_graph<C: SinkCollector + 'static>(out: C) -> (QueryGraph, [SourceId; 2]) {
     let mut b = GraphBuilder::new();
     let s1 = b.source("S1", schema(), TimestampKind::Internal);
     let s2 = b.source("S2", schema(), TimestampKind::Internal);
@@ -42,100 +42,122 @@ fn union_graph() -> (QueryGraph, [SourceId; 2], Out) {
             vec![Input::Source(s1), Input::Source(s2)],
         )
         .unwrap();
-    let out = Out::default();
     b.operator(
-        Box::new(Sink::new("sink", schema(), out.clone())),
+        Box::new(Sink::new("sink", schema(), out)),
         vec![Input::Op(u)],
     )
     .unwrap();
-    (b.build().unwrap(), [s1, s2], out)
+    (b.build().unwrap(), [s1, s2])
 }
 
 fn data(ts: u64) -> Tuple {
     Tuple::data(Timestamp::from_micros(ts), vec![Value::Int(ts as i64)])
 }
 
-/// A uniform driver interface over both executors so the same script runs
-/// verbatim against each backend.
-enum Backend {
-    Serial(Box<Executor>),
-    Parallel(Box<ParallelExecutor>),
+fn partitioned_config(partitioning: Partitioning) -> PartitionedConfig {
+    PartitionedConfig::new(CostModel::free(), EtsPolicy::None, partitioning)
 }
 
+/// A uniform driver interface over the backend matrix so the same script
+/// runs verbatim against each.
+enum Backend {
+    Serial(Box<Executor>),
+    Partitioned(Box<PartitionedExecutor>),
+}
+
+/// The backend matrix: serial, two workers, two key shards.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kind {
+    Serial,
+    Workers,
+    Shards,
+}
+
+const KINDS: [Kind; 3] = [Kind::Serial, Kind::Workers, Kind::Shards];
+
 impl Backend {
-    fn serial(graph: QueryGraph) -> Backend {
-        Backend::Serial(Box::new(Executor::new(
-            graph,
-            VirtualClock::shared(),
-            CostModel::free(),
-            EtsPolicy::None,
-        )))
+    fn build(kind: Kind) -> (Backend, [SourceId; 2], Out) {
+        let out = Out::default();
+        let (graph, ids) = union_graph(out.clone());
+        let backend = match kind {
+            Kind::Serial => Backend::Serial(Box::new(Executor::new(
+                graph,
+                VirtualClock::shared(),
+                CostModel::free(),
+                EtsPolicy::None,
+            ))),
+            Kind::Workers => Backend::Partitioned(Box::new(PartitionedExecutor::new(
+                graph,
+                partitioned_config(Partitioning::workers(2)),
+            ))),
+            Kind::Shards => Backend::Partitioned(Box::new(
+                PartitionedExecutor::sharded(
+                    |_, shard_out| Ok(union_graph(shard_out).0),
+                    schema(),
+                    Box::new(out.clone()),
+                    partitioned_config(Partitioning::sharded(2)),
+                )
+                .unwrap(),
+            )),
+        };
+        (backend, ids, out)
     }
 
-    fn parallel(graph: QueryGraph) -> Backend {
-        Backend::Parallel(Box::new(ParallelExecutor::new(
-            graph,
-            ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2),
-        )))
+    /// Ingest without running.
+    fn push(&mut self, s: SourceId, t: Tuple) -> Result<(), Error> {
+        match self {
+            Backend::Serial(e) => {
+                e.clock().advance_to(t.ts);
+                e.ingest(s, t)
+            }
+            Backend::Partitioned(p) => {
+                p.advance_to(t.ts)?;
+                p.ingest(s, t)
+            }
+        }
+    }
+
+    fn run(&mut self) -> Result<(), Error> {
+        match self {
+            Backend::Serial(e) => e.run_until_quiescent(1_000_000).map(|_| ()),
+            Backend::Partitioned(p) => p.run_until_quiescent(1_000_000).map(|_| ()),
+        }
     }
 
     /// Ingest + run to quiescence, reporting any error either side raises.
     fn ingest(&mut self, s: SourceId, t: Tuple) -> Result<(), Error> {
-        match self {
-            Backend::Serial(e) => {
-                e.clock().advance_to(t.ts);
-                e.ingest(s, t)?;
-                e.run_until_quiescent(1_000_000).map(|_| ())
-            }
-            Backend::Parallel(p) => {
-                p.advance_to(t.ts)?;
-                p.ingest(s, t)?;
-                p.run_until_quiescent(1_000_000).map(|_| ())
-            }
-        }
+        self.push(s, t)?;
+        self.run()
     }
 
     fn heartbeat(&mut self, s: SourceId, ts: Timestamp) -> Result<(), Error> {
         match self {
-            Backend::Serial(e) => {
-                e.ingest_heartbeat(s, ts)?;
-                e.run_until_quiescent(1_000_000).map(|_| ())
-            }
-            Backend::Parallel(p) => {
-                p.ingest_heartbeat(s, ts)?;
-                p.run_until_quiescent(1_000_000).map(|_| ())
-            }
+            Backend::Serial(e) => e.ingest_heartbeat(s, ts)?,
+            Backend::Partitioned(p) => p.ingest_heartbeat(s, ts)?,
         }
+        self.run()
     }
 
     fn close(&mut self, s: SourceId) -> Result<(), Error> {
         match self {
-            Backend::Serial(e) => {
-                e.close_source(s)?;
-                e.run_until_quiescent(1_000_000).map(|_| ())
-            }
-            Backend::Parallel(p) => {
-                p.close_source(s)?;
-                p.run_until_quiescent(1_000_000).map(|_| ())
-            }
+            Backend::Serial(e) => e.close_source(s)?,
+            Backend::Partitioned(p) => p.close_source(s)?,
         }
+        self.run()
     }
 
-    fn stats(&self) -> ExecStats {
+    fn stats(&mut self) -> ExecStats {
         match self {
             Backend::Serial(e) => e.stats(),
-            Backend::Parallel(p) => p.snapshot().unwrap().stats,
+            Backend::Partitioned(p) => p.snapshot().unwrap().stats,
         }
     }
 }
 
 /// Runs the same ingest script against a backend, returning per-step
 /// outcomes (Ok/Err with message) plus the final stats and deliveries.
-fn run_script(
-    mut b: Backend,
-    [s1, s2]: [SourceId; 2],
-    out: &Out,
-) -> (Vec<Result<(), String>>, ExecStats, Vec<Tuple>) {
+fn run_script(kind: Kind) -> (Vec<Result<(), String>>, ExecStats, Vec<Tuple>) {
+    let (mut b, [s1, s2], out) = Backend::build(kind);
     let mut log = Vec::new();
     let step = |r: Result<(), Error>| -> Result<(), String> { r.map_err(|e| e.to_string()) };
 
@@ -168,14 +190,20 @@ fn run_script(
 
 #[test]
 fn parallel_ingest_semantics_match_serial() {
-    let (sg, s_ids, s_out) = union_graph();
-    let (pg, p_ids, p_out) = union_graph();
-    let (s_log, s_stats, s_del) = run_script(Backend::serial(sg), s_ids, &s_out);
-    let (p_log, p_stats, p_del) = run_script(Backend::parallel(pg), p_ids, &p_out);
-
-    assert_eq!(s_log, p_log, "identical per-step outcomes (incl. messages)");
-    assert_eq!(s_del, p_del, "identical deliveries");
-    assert_eq!(s_stats, p_stats, "identical merged stats");
+    let (s_log, s_stats, s_del) = run_script(Kind::Serial);
+    for kind in [Kind::Workers, Kind::Shards] {
+        let (p_log, p_stats, p_del) = run_script(kind);
+        assert_eq!(
+            s_log, p_log,
+            "{kind:?}: identical per-step outcomes (incl. messages)"
+        );
+        assert_eq!(s_del, p_del, "{kind:?}: identical deliveries");
+        // The merge stage of a sharded engine runs an executor of its own,
+        // so only the unsharded counters can match the serial ones.
+        if kind == Kind::Workers {
+            assert_eq!(s_stats, p_stats, "identical merged stats");
+        }
+    }
 
     // Spot-check the interesting outcomes are what the serial contract
     // promises (so the differential test cannot vacuously pass on two
@@ -201,9 +229,40 @@ fn parallel_ingest_semantics_match_serial() {
     assert!(s_log[10].is_ok(), "the open source still ingests");
 }
 
+/// An ingest error is returned by the ingest call itself on every backend,
+/// before any run: the partitioned engine checks the serial contract at
+/// the router instead of deferring the error to the next barrier.
+#[test]
+fn ingest_without_run_returns_the_error() {
+    let mut outcomes = Vec::new();
+    for kind in KINDS {
+        let (mut b, [s1, s2], _) = Backend::build(kind);
+        b.push(s1, data(100)).unwrap();
+        let late = b.push(s1, data(50)).unwrap_err();
+        assert!(
+            matches!(late, Error::OutOfOrder { got: 50, .. }),
+            "{kind:?}: {late}"
+        );
+        b.push(s2, data(100)).unwrap();
+        match &mut b {
+            Backend::Serial(e) => e.close_source(s2).unwrap(),
+            Backend::Partitioned(p) => p.close_source(s2).unwrap(),
+        }
+        let closed = b.push(s2, data(200)).unwrap_err();
+        // Nothing was left behind for the barrier.
+        b.run().unwrap();
+        outcomes.push((late.to_string(), closed.to_string()));
+    }
+    assert!(outcomes[0].1.contains("closed"), "{:?}", outcomes[0]);
+    assert!(
+        outcomes.iter().all(|o| *o == outcomes[0]),
+        "identical errors on every backend: {outcomes:?}"
+    );
+}
+
 /// The counter must also merge across *components*: two independent
 /// streams each dropping stale heartbeats on different workers sum into
-/// one `ParallelSnapshot` figure.
+/// one `PartitionedSnapshot` figure.
 #[test]
 fn stale_heartbeat_counter_merges_across_components() {
     let mut b = GraphBuilder::new();
@@ -216,9 +275,9 @@ fn stale_heartbeat_counter_merges_across_components() {
         )
         .unwrap();
     }
-    let pex = ParallelExecutor::new(
+    let mut pex = PartitionedExecutor::new(
         b.build().unwrap(),
-        ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2),
+        partitioned_config(Partitioning::workers(2)),
     );
     assert_eq!(pex.num_components(), 2);
     for s in [s1, s2] {
@@ -229,7 +288,7 @@ fn stale_heartbeat_counter_merges_across_components() {
     let snap = pex.snapshot().unwrap();
     assert_eq!(snap.stats.dropped_stale_heartbeats, 2);
     assert_eq!(
-        snap.component_stats
+        snap.slot_stats
             .iter()
             .map(|s| s.dropped_stale_heartbeats)
             .collect::<Vec<_>>(),
@@ -238,33 +297,29 @@ fn stale_heartbeat_counter_merges_across_components() {
     );
 }
 
-/// `ingest_batch` (coordinator and handle flavors) must be equivalent to
-/// the same tuples fed one at a time — identical deliveries and stats —
-/// while crossing the worker channel in far fewer commands.
+/// `ingest_batch` must be equivalent to the same tuples fed one at a time
+/// — identical deliveries and stats — while crossing the worker channel in
+/// far fewer commands.
 #[test]
 fn batched_ingest_matches_tuple_at_a_time() {
     const N: u64 = 100;
     let ts = |src: u64, i: u64| (i * 2 + src + 1) * 10;
+    let engine =
+        |graph| PartitionedExecutor::new(graph, partitioned_config(Partitioning::workers(2)));
 
     // Reference: tuple-at-a-time through the coalescing `ingest` path.
-    let (graph, [a1, a2], out_a) = union_graph();
-    let pex_a = ParallelExecutor::new(
-        graph,
-        ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2),
-    );
+    let out_a = Out::default();
+    let (graph, [a1, a2]) = union_graph(out_a.clone());
+    let mut pex_a = engine(graph);
     for i in 0..N {
         pex_a.ingest(a1, data(ts(0, i))).unwrap();
         pex_a.ingest(a2, data(ts(1, i))).unwrap();
     }
 
-    // Batched: the same tuples in runs of 25, S1 through the coordinator
-    // (merging with its coalescing buffer), S2 through a handle.
-    let (graph, [b1, b2], out_b) = union_graph();
-    let pex_b = ParallelExecutor::new(
-        graph,
-        ParallelConfig::new(CostModel::free(), EtsPolicy::None, 2),
-    );
-    let h2 = pex_b.ingest_handle(b2);
+    // Batched: the same tuples in runs of 25 per source.
+    let out_b = Out::default();
+    let (graph, [b1, b2]) = union_graph(out_b.clone());
+    let mut pex_b = engine(graph);
     // Seed the coalescing buffer so at least one batch exercises the
     // merge-with-pending branch instead of the ship-as-is fast path.
     pex_b.ingest(b1, data(ts(0, 0))).unwrap();
@@ -276,10 +331,10 @@ fn batched_ingest_matches_tuple_at_a_time() {
                 .collect()
         };
         pex_b.ingest_batch(b1, run(0, 1)).unwrap();
-        h2.ingest_batch(run(1, 0)).unwrap();
+        pex_b.ingest_batch(b2, run(1, 0)).unwrap();
     }
 
-    for (pex, [s1, s2]) in [(&pex_a, [a1, a2]), (&pex_b, [b1, b2])] {
+    for (pex, [s1, s2]) in [(&mut pex_a, [a1, a2]), (&mut pex_b, [b1, b2])] {
         pex.advance_to(Timestamp::from_micros(ts(1, N - 1)))
             .unwrap();
         pex.close_source(s1).unwrap();
@@ -296,12 +351,22 @@ fn batched_ingest_matches_tuple_at_a_time() {
         pex_b.snapshot().unwrap().stats,
         "batched ingest changes no counter"
     );
-    // 100 coordinator-side tuples crossed in ≤ 5 IngestBatch commands
-    // (1 seed-flush + 4 runs); everything else is advance/close/run
-    // traffic, nowhere near one command per tuple.
+    // 200 tuples crossed in a handful of Ingest commands; everything else
+    // is advance/close/run traffic, nowhere near one command per tuple.
     assert!(
         pex_b.commands_sent() <= 20,
         "batched path sent {} commands",
         pex_b.commands_sent()
     );
+    // An out-of-order tuple inside a run fails the call; the tuples
+    // before it stay accepted, as on the serial executor.
+    let out_c = Out::default();
+    let (graph, [c1, _]) = union_graph(out_c.clone());
+    let mut pex_c = engine(graph);
+    let err = pex_c
+        .ingest_batch(c1, vec![data(10), data(20), data(15), data(30)])
+        .unwrap_err();
+    assert!(matches!(err, Error::OutOfOrder { got: 15, .. }), "{err}");
+    pex_c.run_until_quiescent(1_000_000).unwrap();
+    assert_eq!(pex_c.snapshot().unwrap().ingested_per_source, vec![2, 0]);
 }

@@ -8,7 +8,7 @@
 //! * be deterministic — building the same graph twice partitions it
 //!   identically, and
 //! * route ingest correctly — a tuple pushed at a global source comes out
-//!   of that chain's sink under the `ParallelExecutor`, exactly as under
+//!   of that chain's sink under the `PartitionedExecutor`, exactly as under
 //!   the serial `Executor`.
 
 use std::collections::HashSet;
@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use millstream_exec::{
-    CostModel, EtsPolicy, Executor, GraphBuilder, Input, NodeId, ParallelConfig, ParallelExecutor,
-    QueryGraph, SourceId, VirtualClock,
+    CostModel, EtsPolicy, Executor, GraphBuilder, Input, NodeId, PartitionedConfig,
+    PartitionedExecutor, Partitioning, QueryGraph, SourceId, VirtualClock,
 };
 use millstream_ops::{Filter, Sink, SinkCollector, Union};
 use millstream_types::{DataType, Expr, Field, Schema, Timestamp, TimestampKind, Tuple, Value};
@@ -214,9 +214,13 @@ proptest! {
 
         // Parallel run over the identically built graph.
         let (graph, sources, outs) = build(&chains);
-        let pex = ParallelExecutor::new(
+        let mut pex = PartitionedExecutor::new(
             graph,
-            ParallelConfig::new(CostModel::default(), EtsPolicy::on_demand(), chains.len()),
+            PartitionedConfig::new(
+                CostModel::default(),
+                EtsPolicy::on_demand(),
+                Partitioning::workers(chains.len()),
+            ),
         );
         prop_assert_eq!(pex.num_components(), chains.len());
         let flat: Vec<SourceId> = sources.iter().flatten().copied().collect();

@@ -5,7 +5,7 @@
 //!
 //! One accept thread, a **fixed pool of nonblocking poller threads**
 //! ([`ServerConfig::io_threads`]), one **ingest pump** thread, and the
-//! [`ParallelExecutor`]'s own component workers. Pollers own the sockets:
+//! [`PartitionedExecutor`]'s own component workers. Pollers own the sockets:
 //! they run every producer's [`FrameReader`] across readiness events
 //! (partial frames survive between polls), validate frame order at the
 //! socket boundary, and push decoded frames onto per-shard ingest queues
@@ -74,8 +74,8 @@ use std::time::{Duration, Instant};
 
 use millstream_buffer::{CheckMode, OrderSentinel, PressureLevel, SentinelStats, Watermarks};
 use millstream_exec::{
-    CostModel, EtsPolicy, ExecStats, FeedbackConfig, NodeId, ParallelConfig, ParallelExecutor,
-    SourceId,
+    CostModel, EtsPolicy, ExecStats, FeedbackConfig, NodeId, PartitionedConfig,
+    PartitionedExecutor, Partitioning, SourceId,
 };
 use millstream_metrics::{IdleSummary, IdleTracker, LatencyRecorder, LatencySummary};
 use millstream_ops::SinkCollector;
@@ -101,7 +101,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// The query program (DDL + one query) the server hosts.
     pub program: String,
-    /// Worker threads for the parallel executor.
+    /// Worker threads for the partitioned executor.
     pub workers: usize,
     /// Nonblocking poller threads multiplexing all producer sockets.
     pub io_threads: usize,
@@ -167,13 +167,10 @@ impl ServerConfig {
 /// Aggregate counters, readable mid-run via [`Server::stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections accepted (any role, including failed handshakes).
-    pub connections: u64,
     /// Connections currently open (producers, subscribers, handshakes).
     pub conns_active: u64,
-    /// Connections accepted over the server's lifetime (same population
-    /// as `connections`; kept distinct so the active/total pair reads as
-    /// a gauge + counter).
+    /// Connections accepted over the server's lifetime (any role,
+    /// including failed handshakes).
     pub conns_total: u64,
     /// Frames received from producers after handshake.
     pub frames_in: u64,
@@ -210,7 +207,6 @@ pub struct ServerStats {
 /// to take the engine lock.
 #[derive(Default)]
 struct StatsCell {
-    connections: AtomicU64,
     conns_active: AtomicU64,
     conns_total: AtomicU64,
     frames_in: AtomicU64,
@@ -226,7 +222,6 @@ struct StatsCell {
 impl StatsCell {
     fn snapshot(&self, broadcast: &Broadcast) -> ServerStats {
         ServerStats {
-            connections: self.connections.load(Ordering::SeqCst),
             conns_active: self.conns_active.load(Ordering::SeqCst),
             conns_total: self.conns_total.load(Ordering::SeqCst),
             frames_in: self.frames_in.load(Ordering::SeqCst),
@@ -316,7 +311,7 @@ struct Port {
 
 /// The engine and every piece of state its lock protects.
 struct Engine {
-    exec: ParallelExecutor,
+    exec: PartitionedExecutor,
     ports: Vec<Port>,
     by_name: HashMap<String, usize>,
     output_schema: Schema,
@@ -689,10 +684,16 @@ impl Server {
         let check = cfg.check.unwrap_or_else(CheckMode::from_env);
         let broadcast = Broadcast::new(cfg.overflow, cfg.subscriber_queue);
         let planned = plan_program(&cfg.program, broadcast.clone())?;
-        let mut pcfg = ParallelConfig::new(CostModel::free(), EtsPolicy::None, cfg.workers.max(1));
-        pcfg.check = Some(check);
-        pcfg.feedback = cfg.feedback;
-        let exec = ParallelExecutor::new(planned.graph, pcfg);
+        let pcfg = PartitionedConfig {
+            check: Some(check),
+            feedback: cfg.feedback,
+            ..PartitionedConfig::new(
+                CostModel::free(),
+                EtsPolicy::None,
+                Partitioning::workers(cfg.workers.max(1)),
+            )
+        };
+        let mut exec = PartitionedExecutor::new(planned.graph, pcfg);
         if let Some(node) = planned.monitor {
             exec.monitor_idle(node)?;
         }
@@ -836,7 +837,7 @@ impl Server {
             eng.exec.finish_idle()?;
             let snapshot = eng.exec.snapshot()?;
             let clock = snapshot
-                .component_clocks
+                .slot_clocks
                 .iter()
                 .copied()
                 .max()

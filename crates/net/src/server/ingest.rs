@@ -388,7 +388,6 @@ pub(super) fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        shared.stats.connections.fetch_add(1, Ordering::SeqCst);
         shared.stats.conns_total.fetch_add(1, Ordering::SeqCst);
         // Opportunistic reap: finished subscriber writers are collected
         // here instead of accumulating until shutdown.

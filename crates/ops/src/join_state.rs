@@ -1100,7 +1100,10 @@ mod tests {
             "workload must exercise compaction"
         );
         if budget == 0 {
-            assert!(tier.spill_stats().spilled_bytes > 0, "tiny budget must spill");
+            assert!(
+                tier.spill_stats().spilled_bytes > 0,
+                "tiny budget must spill"
+            );
         }
         assert!(tier.spill_stats().run_drops > 0, "purges must drop runs");
     }
@@ -1187,10 +1190,7 @@ mod tests {
     fn tier_config_parses_budget_forms() {
         assert_eq!(TierConfig::parse("off"), None);
         assert_eq!(TierConfig::parse(""), None);
-        assert_eq!(
-            TierConfig::parse("unbounded").unwrap().budget,
-            u64::MAX
-        );
+        assert_eq!(TierConfig::parse("unbounded").unwrap().budget, u64::MAX);
         assert_eq!(TierConfig::parse("4096").unwrap().budget, 4096);
         assert_eq!(TierConfig::parse("64k").unwrap().budget, 64 << 10);
         assert_eq!(TierConfig::parse("2m").unwrap().budget, 2 << 20);

@@ -118,7 +118,12 @@ impl SpillFile {
     /// Appends one run blob. `values` is column-major (`values[c * rows +
     /// r]` is column `c` of row `r`, `values.len() == rows * width`).
     /// Returns the blob's `(offset, length)`.
-    pub fn append_run(&mut self, rows: usize, width: usize, values: &[Value]) -> io::Result<(u64, u64)> {
+    pub fn append_run(
+        &mut self,
+        rows: usize,
+        width: usize,
+        values: &[Value],
+    ) -> io::Result<(u64, u64)> {
         debug_assert_eq!(values.len(), rows * width);
         let offset = self.len;
         let mut blob: Vec<u8> = Vec::with_capacity(values.len() * FIXED_CELL + width * 9 + 12);
@@ -200,7 +205,11 @@ impl SpillFile {
         }
         let footer_len = (8 + 1) * width + 12;
         let mut footer = vec![0u8; footer_len - 12];
-        read_at(&self.file, &mut footer, offset + blob_len - footer_len as u64)?;
+        read_at(
+            &self.file,
+            &mut footer,
+            offset + blob_len - footer_len as u64,
+        )?;
         let col_off = |c: usize| -> u64 {
             u64::from_le_bytes(footer[8 * c..8 * (c + 1)].try_into().unwrap())
         };
@@ -409,7 +418,10 @@ mod tests {
         let b = vec![Value::str("x"), Value::str("y"), Value::str("z")];
         let (oa, la) = f.append_run(2, 1, &a).unwrap();
         let (ob, lb) = f.append_run(3, 1, &b).unwrap();
-        assert_eq!(ob, la, "append-only: second blob starts where the first ends");
+        assert_eq!(
+            ob, la,
+            "append-only: second blob starts where the first ends"
+        );
         let mut got = Vec::new();
         f.read_rows(oa, la, 0, 2, &mut got).unwrap();
         assert_eq!(got[1][0], Value::Int(2));

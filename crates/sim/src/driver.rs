@@ -15,7 +15,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use millstream_exec::{
-    Activity, ExecStats, Executor, NodeId, ParallelConfig, ParallelExecutor, QueryGraph, SourceId,
+    Activity, ExecStats, Executor, NodeId, PartitionedConfig, PartitionedExecutor, QueryGraph,
+    SourceId,
 };
 use millstream_metrics::{LatencyRecorder, RunMetrics};
 use millstream_ops::SinkCollector;
@@ -367,7 +368,7 @@ fn synthesize_tuple(
     }
 }
 
-/// Drives a [`ParallelExecutor`] with the same stochastic event calendar
+/// Drives a [`PartitionedExecutor`] with the same stochastic event calendar
 /// as [`Simulation`], one arrival epoch at a time.
 ///
 /// Where the serial driver interleaves event delivery with *single*
@@ -381,7 +382,7 @@ fn synthesize_tuple(
 /// identical to the serial driver's; only the CPU-contention model
 /// differs.
 pub struct ParallelSimulation {
-    pex: ParallelExecutor,
+    pex: PartitionedExecutor,
     events: EventQueue,
     rng: SmallRng,
     streams: Vec<StreamRuntime>,
@@ -398,7 +399,7 @@ impl ParallelSimulation {
     /// [`Simulation::new`].
     pub fn new(
         graph: QueryGraph,
-        config: ParallelConfig,
+        config: PartitionedConfig,
         streams: Vec<(SourceId, StreamSpec)>,
         collector: SharedLatencyCollector,
         monitor: Option<NodeId>,
@@ -407,7 +408,7 @@ impl ParallelSimulation {
         for (_, spec) in &streams {
             spec.process.validate()?;
         }
-        let pex = ParallelExecutor::new(graph, config);
+        let mut pex = PartitionedExecutor::new(graph, config);
         if let Some(node) = monitor {
             pex.monitor_idle(node)?;
         }
@@ -434,7 +435,7 @@ impl ParallelSimulation {
     }
 
     /// Access to the parallel executor (e.g. to inspect the partition).
-    pub fn executor(&self) -> &ParallelExecutor {
+    pub fn executor(&self) -> &PartitionedExecutor {
         &self.pex
     }
 
@@ -527,12 +528,12 @@ impl ParallelSimulation {
         Ok(())
     }
 
-    fn report(&self) -> Result<SimReport> {
+    fn report(&mut self) -> Result<SimReport> {
         let snap = self.pex.snapshot()?;
         // Components finish at different virtual times; the run extends to
         // the latest of them.
         let clock_end = snap
-            .component_clocks
+            .slot_clocks
             .iter()
             .copied()
             .max()
@@ -554,7 +555,7 @@ impl ParallelSimulation {
                 // Sum of per-component peaks: an upper bound on the
                 // whole-graph peak, since component peaks need not
                 // coincide in time.
-                peak_queue_tuples: snap.component_peaks.iter().sum(),
+                peak_queue_tuples: snap.slot_peaks.iter().sum(),
                 punctuation_enqueued: snap.punctuation_enqueued,
                 delivered: self.collector.delivered(),
                 run_seconds: clock_end.as_secs_f64(),
@@ -575,7 +576,7 @@ impl ParallelSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use millstream_exec::{CostModel, EtsPolicy, GraphBuilder, Input, VirtualClock};
+    use millstream_exec::{CostModel, EtsPolicy, GraphBuilder, Input, Partitioning, VirtualClock};
     use millstream_ops::{Filter, Sink};
     use millstream_types::{DataType, Expr, Field, Schema};
 
@@ -659,7 +660,11 @@ mod tests {
 
         let par_collector = SharedLatencyCollector::new();
         let (graph, sources) = two_chain_graph(par_collector.clone());
-        let config = ParallelConfig::new(CostModel::default(), EtsPolicy::on_demand(), 2);
+        let config = PartitionedConfig::new(
+            CostModel::default(),
+            EtsPolicy::on_demand(),
+            Partitioning::workers(2),
+        );
         let mut psim =
             ParallelSimulation::new(graph, config, specs(&sources), par_collector, None, seed)
                 .unwrap();

@@ -18,12 +18,12 @@
 //!
 //! The workload then runs under **every cell of the engine matrix** —
 //! `EtsPolicy` × `SchedPolicy` × workers ∈ {1 (serial [`Executor`]),
-//! 4 ([`ParallelExecutor`])} × feedback ∈ {off, advisory-on} (harsh
+//! 4 ([`PartitionedExecutor`])} × feedback ∈ {off, advisory-on} (harsh
 //! watermarks, shedding and slack tightening disabled, so the feedback
 //! channel must be output-invariant), plus `EtsPolicy` × `SchedPolicy` ×
-//! shards ∈ {1, 2, 4} through the key-partitioned [`ShardedExecutor`]
-//! (each component sharded whole-row across exchange edges, re-merged by
-//! timestamp, with per-shard frontier floors checked for consistency) —
+//! shards ∈ {1, 2, 4} through the same engine's exchange edges (each
+//! component sharded whole-row, re-merged by timestamp, with per-shard
+//! frontier floors checked for consistency) —
 //! with the sentinel layer in strict mode, and
 //! each sink's output is compared against a naive single-queue oracle
 //! (all surviving data tuples of the component, merged into one queue and
@@ -51,9 +51,9 @@
 use std::sync::{Arc, Mutex};
 
 use millstream_exec::{
-    CheckMode, CostModel, EtsPolicy, Executor, FeedbackConfig, GraphBuilder, Input, ParallelConfig,
-    ParallelExecutor, QueryGraph, SchedPolicy, ShardKey, ShardOutput, ShardedConfig,
-    ShardedExecutor, SourceId, VirtualClock, Watermarks,
+    CheckMode, CostModel, EtsPolicy, Executor, FeedbackConfig, GraphBuilder, Input,
+    PartitionedConfig, PartitionedExecutor, Partitioning, QueryGraph, SchedPolicy, ShardKey,
+    ShardOutput, SourceId, VirtualClock, Watermarks,
 };
 use millstream_ops::{
     Filter, LatePolicy, MultiWindowJoin, Project, Reorder, Sink, SinkCollector, TierConfig, Union,
@@ -693,124 +693,81 @@ fn run_serial(
         .collect())
 }
 
-fn run_parallel(
+/// Runs the spec through the [`PartitionedExecutor`]. Unsharded, one
+/// engine hosts the whole graph, its components spread over the workers.
+/// With `shards > 1`, each component gets a sharded engine of its own:
+/// tuples whole-row key-partitioned across exchange queues, each shard a
+/// full replica of the component pipeline, outputs timestamp-merged back
+/// into one stream whose per-shard frontier floors the sentinel layer
+/// checks for consistency. Either way the global arrival schedule is
+/// replayed with quiescence barriers between arrival epochs, as in the
+/// serial cells.
+fn run_partitioned(
     spec: &FuzzSpec,
     policy: EtsPolicy,
     sched: SchedPolicy,
-    workers: usize,
+    partitioning: Partitioning,
     feedback: Option<FeedbackConfig>,
 ) -> Result<Vec<Vec<(u64, i64)>>, String> {
-    let built = build(spec, None)?;
-    let mut config = ParallelConfig::new(CostModel::free(), policy, workers)
-        .with_sched_policy(sched)
-        .with_check_mode(CheckMode::Strict);
-    config.feedback = feedback;
-    let pex = ParallelExecutor::new(built.graph, config);
-
-    let mut pending: Option<u64> = None;
-    for g in merged_events(spec) {
-        if pending.is_some_and(|a| a != g.arrival) {
-            pex.run_until_quiescent(MAX_STEPS)
-                .map_err(|e| e.to_string())?;
-        }
-        pending = Some(g.arrival);
-        pex.advance_to(Timestamp::from_micros(g.arrival))
-            .map_err(|e| e.to_string())?;
-        let sid = built.handles[g.comp].0[g.src];
-        let src = &spec.comps[g.comp].sources[g.src];
-        match g.ev {
-            Ev::Data { ts, v, .. } => pex
-                .ingest(
-                    sid,
-                    Tuple::data(Timestamp::from_micros(ts), payload(src, v)),
-                )
-                .map_err(|e| e.to_string())?,
-            Ev::Heartbeat { ts, .. } => pex
-                .ingest_heartbeat(sid, Timestamp::from_micros(ts))
-                .map_err(|e| e.to_string())?,
-        }
-    }
-    pex.run_until_quiescent(MAX_STEPS)
-        .map_err(|e| e.to_string())?;
-    for (src_ids, _) in &built.handles {
-        for &sid in src_ids {
-            pex.close_source(sid).map_err(|e| e.to_string())?;
-        }
-    }
-    pex.run_until_quiescent(MAX_STEPS)
-        .map_err(|e| e.to_string())?;
-    let snap = pex.snapshot().map_err(|e| e.to_string())?;
-    if snap.stats.invariant_violations != 0 {
-        return Err(format!(
-            "{} invariant violation(s) counted",
-            snap.stats.invariant_violations
-        ));
-    }
-    Ok(built
-        .handles
-        .iter()
-        .map(|(_, out)| out.0.lock().unwrap().clone())
-        .collect())
-}
-
-/// Runs each component through a [`ShardedExecutor`]: tuples whole-row
-/// key-partitioned across `shards` exchange queues, each shard a full
-/// replica of the component pipeline, outputs timestamp-merged back into
-/// one stream whose per-shard frontier floors the sentinel layer checks
-/// for consistency. Components are independent, so each gets its own
-/// sharded engine while the global arrival schedule is replayed across
-/// all of them (quiescence barriers between arrival epochs, as in the
-/// serial and parallel cells).
-fn run_sharded(
-    spec: &FuzzSpec,
-    policy: EtsPolicy,
-    sched: SchedPolicy,
-    shards: usize,
-) -> Result<Vec<Vec<(u64, i64)>>, String> {
-    let mut execs = Vec::new();
-    let mut outs = Vec::new();
-    let mut src_ids: Vec<Vec<SourceId>> = Vec::new();
-    for (ci, comp) in spec.comps.iter().enumerate() {
-        let out = CollectedSink::default();
-        let mut config = ShardedConfig::new(CostModel::free(), policy, shards)
+    let config = PartitionedConfig {
+        feedback,
+        ..PartitionedConfig::new(CostModel::free(), policy, partitioning)
             .with_sched_policy(sched)
-            .with_check_mode(CheckMode::Strict);
-        if comp.join.is_some() {
-            // Every matching combination has equal values across inputs
-            // (hash keys or the explicit equality condition), so routing
-            // each input on column 0 keeps combinations whole per shard.
-            config = config.with_keys(vec![ShardKey::Column(0); comp.sources.len()]);
+            .with_check_mode(CheckMode::Strict)
+    };
+    let mut engines = Vec::new();
+    // Per component, per spec source: (engine index, source id).
+    let mut routes: Vec<Vec<(usize, SourceId)>> = Vec::new();
+    let mut outs = Vec::new();
+    if partitioning.shards == 1 {
+        let built = build(spec, None)?;
+        for (ids, out) in built.handles {
+            routes.push(ids.into_iter().map(|s| (0, s)).collect());
+            outs.push(out);
         }
-        let merge_schema = if comp.join.is_some() {
-            join_out_schema()
-        } else {
-            schema()
-        };
-        let mut ids = Vec::new();
-        let sx = ShardedExecutor::new(
-            |replica, shard_out: ShardOutput| {
-                let mut b = GraphBuilder::new();
-                let sids = append_component(&mut b, comp, ci, None, shard_out).map_err(|e| {
-                    millstream_types::Error::graph(format!("shard replica build: {e}"))
-                })?;
-                if replica == 0 {
-                    ids = sids;
-                }
-                b.build()
-            },
-            merge_schema,
-            Box::new(out.clone()),
-            config,
-        )
-        .map_err(|e| e.to_string())?;
-        execs.push(sx);
-        outs.push(out);
-        src_ids.push(ids);
+        engines.push(PartitionedExecutor::new(built.graph, config));
+    } else {
+        for (ci, comp) in spec.comps.iter().enumerate() {
+            let out = CollectedSink::default();
+            let (keys, merge_schema) = if comp.join.is_some() {
+                // Every matching combination has equal values across
+                // inputs (hash keys or the explicit equality condition),
+                // so routing each input on column 0 keeps combinations
+                // whole per shard.
+                (
+                    vec![ShardKey::Column(0); comp.sources.len()],
+                    join_out_schema(),
+                )
+            } else {
+                (Vec::new(), schema())
+            };
+            let mut ids = Vec::new();
+            let engine = PartitionedExecutor::sharded(
+                |replica, shard_out: ShardOutput| {
+                    let mut b = GraphBuilder::new();
+                    let sids =
+                        append_component(&mut b, comp, ci, None, shard_out).map_err(|e| {
+                            millstream_types::Error::graph(format!("shard replica build: {e}"))
+                        })?;
+                    if replica == 0 {
+                        ids = sids;
+                    }
+                    b.build()
+                },
+                merge_schema,
+                Box::new(out.clone()),
+                config.clone().with_keys(keys),
+            )
+            .map_err(|e| e.to_string())?;
+            routes.push(ids.into_iter().map(|s| (engines.len(), s)).collect());
+            engines.push(engine);
+            outs.push(out);
+        }
     }
 
-    let drain_all = |execs: &mut [ShardedExecutor]| -> Result<(), String> {
-        for sx in execs.iter_mut() {
-            let taken = sx
+    let drain_all = |engines: &mut [PartitionedExecutor]| -> Result<(), String> {
+        for engine in engines {
+            let taken = engine
                 .run_until_quiescent(MAX_STEPS)
                 .map_err(|e| e.to_string())?;
             if taken >= MAX_STEPS {
@@ -825,35 +782,34 @@ fn run_sharded(
     let mut pending: Option<u64> = None;
     for g in merged_events(spec) {
         if pending.is_some_and(|a| a != g.arrival) {
-            drain_all(&mut execs)?;
+            drain_all(&mut engines)?;
         }
         pending = Some(g.arrival);
-        let sid = src_ids[g.comp][g.src];
+        let (e, sid) = routes[g.comp][g.src];
         let src = &spec.comps[g.comp].sources[g.src];
-        let sx = &mut execs[g.comp];
-        sx.advance_to(Timestamp::from_micros(g.arrival))
+        let engine = &mut engines[e];
+        engine
+            .advance_to(Timestamp::from_micros(g.arrival))
             .map_err(|e| e.to_string())?;
         match g.ev {
-            Ev::Data { ts, v, .. } => sx
+            Ev::Data { ts, v, .. } => engine
                 .ingest(
                     sid,
                     Tuple::data(Timestamp::from_micros(ts), payload(src, v)),
                 )
                 .map_err(|e| e.to_string())?,
-            Ev::Heartbeat { ts, .. } => sx
+            Ev::Heartbeat { ts, .. } => engine
                 .ingest_heartbeat(sid, Timestamp::from_micros(ts))
                 .map_err(|e| e.to_string())?,
         }
     }
-    drain_all(&mut execs)?;
-    for (ci, ids) in src_ids.iter().enumerate() {
-        for &sid in ids {
-            execs[ci].close_source(sid).map_err(|e| e.to_string())?;
-        }
+    drain_all(&mut engines)?;
+    for &(e, sid) in routes.iter().flatten() {
+        engines[e].close_source(sid).map_err(|e| e.to_string())?;
     }
-    drain_all(&mut execs)?;
-    for sx in &execs {
-        let snap = sx.snapshot().map_err(|e| e.to_string())?;
+    drain_all(&mut engines)?;
+    for engine in &mut engines {
+        let snap = engine.snapshot().map_err(|e| e.to_string())?;
         if snap.stats.invariant_violations != 0 {
             return Err(format!(
                 "{} invariant violation(s) counted",
@@ -988,7 +944,13 @@ pub fn fuzz_seed(seed: u64) -> Vec<String> {
                     let result = if workers == 1 {
                         run_serial(&spec, policy, sched, feedback, None)
                     } else {
-                        run_parallel(&spec, policy, sched, workers, feedback)
+                        run_partitioned(
+                            &spec,
+                            policy,
+                            sched,
+                            Partitioning::workers(workers),
+                            feedback,
+                        )
                     };
                     match result {
                         Err(e) => failures.push(format!("{label}: {e}")),
@@ -997,13 +959,13 @@ pub fn fuzz_seed(seed: u64) -> Vec<String> {
                 }
             }
             // Exchange-edge cells: the same spec sharded across worker
-            // threads behind whole-row key partitioning, including the
-            // shards=1 degenerate path (router + merge stage with a
-            // single queue behind them).
+            // threads behind whole-row key partitioning; shards=1 is the
+            // whole graph on one worker, no exchange.
             for shards in [1usize, 2, 4] {
                 let label =
                     format!("seed {seed} [policy={policy:?} sched={sched:?} shards={shards}]");
-                match run_sharded(&spec, policy, sched, shards) {
+                let partitioning = Partitioning::sharded(shards);
+                match run_partitioned(&spec, policy, sched, partitioning, None) {
                     Err(e) => failures.push(format!("{label}: {e}")),
                     Ok(outputs) => check_outputs(&spec, &outputs, &label, &mut failures),
                 }

@@ -9,7 +9,7 @@
 //! * [`Simulation`] — the driver that plays external wrappers, feeding the
 //!   executor and jumping the clock across idle periods;
 //! * [`ParallelSimulation`] — the same event calendar driving a
-//!   [`millstream_exec::ParallelExecutor`], one worker thread per plan
+//!   [`millstream_exec::PartitionedExecutor`], one worker thread per plan
 //!   component;
 //! * [`run_union_experiment`] / [`run_join_experiment`] — the prebuilt
 //!   Fig. 4 experiment in its four §6 variants (lines A/B/C/D), the basis

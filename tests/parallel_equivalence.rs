@@ -1,6 +1,6 @@
 //! Differential equivalence suite for parallel multi-component execution.
 //!
-//! `ParallelExecutor` runs each connected component of a query graph on
+//! `PartitionedExecutor` runs each connected component of a query graph on
 //! its own worker thread, each with a private clock and a private
 //! single-threaded `Executor`. Because ETS backtracking never crosses a
 //! component boundary, parallel execution must be *observationally
@@ -282,9 +282,10 @@ fn run_component_serial(comp: usize, policy: EtsPolicy, sched: SchedPolicy) -> C
 /// observation per component.
 fn run_parallel(policy: EtsPolicy, sched: SchedPolicy, workers: usize) -> Vec<CompObservation> {
     let (graph, sources, outs) = combined_graph();
-    let pex = ParallelExecutor::new(
+    let mut pex = PartitionedExecutor::new(
         graph,
-        ParallelConfig::new(CostModel::default(), policy, workers).with_sched_policy(sched),
+        PartitionedConfig::new(CostModel::default(), policy, Partitioning::workers(workers))
+            .with_sched_policy(sched),
     );
     assert_eq!(pex.num_components(), COMPONENTS);
 
@@ -318,12 +319,12 @@ fn run_parallel(policy: EtsPolicy, sched: SchedPolicy, workers: usize) -> Vec<Co
     (0..COMPONENTS)
         .map(|c| CompObservation {
             delivered: outs[c].0.lock().unwrap().clone(),
-            stats: snap.component_stats[c],
+            stats: snap.slot_stats[c],
             ets_per_source: sources[c]
                 .iter()
                 .map(|&s| snap.ets_per_source[s.index()])
                 .collect(),
-            final_clock: snap.component_clocks[c],
+            final_clock: snap.slot_clocks[c],
         })
         .collect()
 }
